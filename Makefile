@@ -3,7 +3,7 @@
 GO ?= go
 VET_BIN := $(CURDIR)/bin/pmblade-vet
 
-.PHONY: build test race vet pmblade-vet vet-baseline crash scrub-soak bench-smoke stress-compact stress-snapshot verify clean
+.PHONY: build test race vet pmblade-vet vet-baseline crash scrub-soak bench-smoke perfbench-test stress-compact stress-snapshot verify clean
 
 build:
 	$(GO) build ./...
@@ -53,6 +53,12 @@ scrub-soak:
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'Engine' -benchtime=1x .
 
+# The benchmark harness is its own module (_perfbench), so `go test ./...`
+# at the root never runs its self-tests: output checks and metric names
+# against BENCHMARK.json.
+perfbench-test:
+	cd _perfbench && $(GO) test ./...
+
 # Concurrent-eviction stress: a seeded mixed workload against a tiny PM that
 # forces repeated cost-based evictions while writers and readers run, under
 # the race detector, plus the pause-free-eviction acceptance tests.
@@ -67,7 +73,7 @@ stress-snapshot:
 	$(GO) test -race -count=1 -run 'TestSnapshotNoTornBatches|TestSnapshotBasic|TestScanOverwriteAfterSnapshot|TestIteratorPinnedAcrossCompaction' ./internal/engine
 
 # verify is the pre-merge gate: everything CI checks, in one target.
-verify: build vet pmblade-vet race stress-compact stress-snapshot crash scrub-soak bench-smoke
+verify: build vet pmblade-vet race stress-compact stress-snapshot crash scrub-soak bench-smoke perfbench-test
 
 clean:
 	rm -rf bin

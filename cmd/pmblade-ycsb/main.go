@@ -96,30 +96,13 @@ func main() {
 
 	for _, name := range strings.Split(*workloads, ",") {
 		name = strings.TrimSpace(name)
-		count := *ops
-		if name == "load" {
-			count = int(*records)
-		}
-		w, err := ycsb.New(name, *records, *valueSize, *seed)
+		w, count, err := newPhase(name, *records, *ops, *valueSize, *seed)
 		if err != nil {
 			log.Fatal(err)
 		}
 		start := time.Now()
 		for i := 0; i < count; i++ {
-			op := w.Next()
-			switch op.Kind {
-			case ycsb.OpRead:
-				_, _, err = st.Get(op.Key)
-			case ycsb.OpUpdate, ycsb.OpInsert:
-				err = st.Put(op.Key, op.Value)
-			case ycsb.OpScan:
-				err = st.ScanN(op.Key, op.ScanLen)
-			case ycsb.OpRMW:
-				if _, _, err = st.Get(op.Key); err == nil {
-					err = st.Put(op.Key, op.Value)
-				}
-			}
-			if err != nil {
+			if err := runOp(st, w.Next()); err != nil {
 				log.Fatalf("workload %s op %d: %v", name, i, err)
 			}
 		}
@@ -127,4 +110,36 @@ func main() {
 		fmt.Printf("%-5s %8d ops  %10v  %9.0f ops/s\n",
 			name, count, elapsed.Round(time.Millisecond), float64(count)/elapsed.Seconds())
 	}
+}
+
+// newPhase builds the generator for one workload phase and the number of
+// operations to run. The load phase inserts keys 0..records-1: its generator
+// starts from an empty keyspace (the insert cursor begins at recordCount),
+// so workloads A–F, drawn over records preloaded keys, find what it wrote.
+func newPhase(name string, records uint64, ops, valueSize int, seed int64) (*ycsb.Workload, int, error) {
+	if name == "load" {
+		w, err := ycsb.New(name, 0, valueSize, seed)
+		return w, int(records), err
+	}
+	w, err := ycsb.New(name, records, valueSize, seed)
+	return w, ops, err
+}
+
+// runOp applies one generated operation to the store.
+func runOp(st store, op ycsb.Op) error {
+	switch op.Kind {
+	case ycsb.OpRead:
+		_, _, err := st.Get(op.Key)
+		return err
+	case ycsb.OpUpdate, ycsb.OpInsert:
+		return st.Put(op.Key, op.Value)
+	case ycsb.OpScan:
+		return st.ScanN(op.Key, op.ScanLen)
+	case ycsb.OpRMW:
+		if _, _, err := st.Get(op.Key); err != nil {
+			return err
+		}
+		return st.Put(op.Key, op.Value)
+	}
+	return nil
 }

@@ -320,15 +320,22 @@ func viewGetBatch(v *rangeindex.View, subKeys [][]byte, seq uint64, subEntries [
 // its sources; the caller redoes the range through the plain merge.
 func (db *DB) scanViewPartition(p *partition, v *rangeindex.View, start, end []byte, limit int, seq uint64, out []ScanResult) ([]ScanResult, bool) {
 	base := len(out)
+	// want is the rows this partition may still contribute (0 = unbounded):
+	// a bounded scan that spilled over from an earlier partition sizes its
+	// readahead and reservations from the remainder, not the global limit.
+	want := 0
+	if limit > 0 {
+		want = limit - base
+	}
 	vi := v.NewIter()
 	oits, orelease := db.overlayIterators(p)
 	defer orelease()
-	if limit > 0 {
+	if want > 0 {
 		// Bounded scan: cap the sources' first readahead span to roughly what
 		// the scan will consume (slack for the seek's anchor walk and stale
 		// versions) instead of a full ScanReadahead window. Must precede the
 		// seek — the seek performs the first span read.
-		hint := limit + viewSegTarget
+		hint := want + viewSegTarget
 		vi.HintEntries(hint)
 		for _, it := range oits {
 			if h, ok := it.(interface{ HintEntries(int) }); ok {
@@ -349,15 +356,15 @@ func (db *DB) scanViewPartition(p *partition, v *rangeindex.View, start, end []b
 	}
 	ov := kv.NewMergingIteratorAt(oits...)
 	var arena scanArena
-	if limit > 0 && limit <= 4096 {
+	if want > 0 && want <= 4096 {
 		// Right-size the result copies: the view knows its sources' average
 		// entry footprint, so a bounded scan can fill one exact arena chunk
 		// and one exact result slice instead of growing both geometrically.
 		if avg := v.AvgEntryBytes(); avg > 0 {
-			arena.reserve(limit*avg + 512)
+			arena.reserve(want*avg + 512)
 		}
-		if cap(out)-base < limit {
-			grown := make([]ScanResult, base, base+limit)
+		if cap(out)-base < want {
+			grown := make([]ScanResult, base, base+want)
 			copy(grown, out)
 			out = grown
 		}

@@ -324,8 +324,8 @@ func TestTakePrefetchStaleRelease(t *testing.T) {
 	}
 }
 
-// TestScanLimitTruncationMultiPartition: the parallel fan-out scan with a
-// limit must return exactly the serial scan's prefix.
+// TestScanLimitTruncationMultiPartition: the ordered partition walk of a
+// bounded scan must return exactly the unbounded fan-out scan's prefix.
 func TestScanLimitTruncationMultiPartition(t *testing.T) {
 	cfg := fastConfig()
 	cfg.PartitionBoundaries = [][]byte{[]byte("key-00500"), []byte("key-01000"), []byte("key-01500")}

@@ -125,10 +125,11 @@ type ScanResult struct {
 }
 
 // Scan returns up to limit live entries with start <= key < end (nil end =
-// unbounded). It merges every tier of every intersecting partition; when the
-// range spans several partitions they are scanned in parallel with bounded
-// fan-out through the scheduler pool and the per-partition results are
-// concatenated in range order.
+// unbounded). It merges every tier of every intersecting partition. A
+// bounded scan walks the partitions in key order and stops at the first one
+// that fills the limit; an unbounded scan (limit 0) needs every partition's
+// rows, so it scans them in parallel through the scheduler pool and
+// concatenates the results in range order.
 func (db *DB) Scan(start, end []byte, limit int) ([]ScanResult, error) {
 	if db.closed.Load() {
 		return nil, ErrClosed
@@ -140,6 +141,13 @@ func (db *DB) Scan(start, end []byte, limit int) ([]ScanResult, error) {
 
 // scanAt is the explicit-sequence scan body shared by DB.Scan and
 // Snapshot.Scan. The caller must hold a registry pin on seq.
+//
+// A bounded scan visits only the partitions whose rows the result can
+// contain: the walk appends into the shared out and returns as soon as it
+// holds limit rows. Fanning a bounded scan out to every partition after the
+// start key would pay a seek and readahead in each and count a read toward
+// each partition's Eq. 3 n_i^r, inflating the hotness of cold partitions
+// the result never reaches.
 func (db *DB) scanAt(start, end []byte, limit int, seq uint64) ([]ScanResult, error) {
 	begin := time.Now()
 	parts := db.partitionsInRange(start, end)
@@ -153,25 +161,26 @@ func (db *DB) scanAt(start, end []byte, limit int, seq uint64) ([]ScanResult, er
 		}
 	}
 	var out []ScanResult
-	if len(parts) <= 1 {
-		for _, p := range parts {
-			out = db.scanPartition(p, start, end, limit, seq, out)
-		}
-	} else {
+	if limit <= 0 && len(parts) > 1 {
 		results := make([][]ScanResult, len(parts))
 		db.pool.Fan(len(parts), func(i int) {
-			// Each partition is capped at the global limit; the concatenation
-			// below truncates, so the result set equals the serial scan's.
-			results[i] = db.scanPartition(parts[i], start, end, limit, seq, nil)
+			results[i] = db.scanPartition(parts[i], start, end, 0, seq, nil)
 		})
 		for _, r := range results {
+			out = append(out, r...)
+		}
+	} else {
+		for i, p := range parts {
+			// Partitions hold disjoint, ascending ranges: every later
+			// partition starts at its own lower bound.
+			from := start
+			if i > 0 {
+				from = p.lo
+			}
+			out = db.scanPartition(p, from, end, limit, seq, out)
 			if limit > 0 && len(out) >= limit {
 				break
 			}
-			out = append(out, r...)
-		}
-		if limit > 0 && len(out) > limit {
-			out = out[:limit]
 		}
 	}
 	db.metrics.ScanLatency.Record(time.Since(begin))
@@ -179,11 +188,13 @@ func (db *DB) scanAt(start, end []byte, limit int, seq uint64) ([]ScanResult, er
 }
 
 // scanPartition appends partition p's visible entries in [start, end) to out,
-// stopping once out holds limit entries (limit 0 = unbounded). When a
-// range-index view is current (or can be built) the stable sources stream
-// through its selector walk; otherwise — and whenever the view proves
-// inconsistent mid-scan — the plain merging-iterator path below serves the
-// range unchanged.
+// stopping once out holds limit entries (limit 0 = unbounded). Readahead is
+// sized from the rows still missing, limit - len(out), so a scan spilling
+// into a later partition does not over-read there. When a range-index view
+// is current (or can be built) the stable sources stream through its
+// selector walk; otherwise — and whenever the view proves inconsistent
+// mid-scan — the plain merging-iterator path below serves the range
+// unchanged.
 func (db *DB) scanPartition(p *partition, start, end []byte, limit int, seq uint64, out []ScanResult) []ScanResult {
 	if limit > 0 && len(out) >= limit {
 		return out
@@ -209,7 +220,7 @@ func (db *DB) scanPartition(p *partition, start, end []byte, limit int, seq uint
 	for _, it := range its {
 		if limit > 0 {
 			if h, ok := it.(interface{ HintEntries(int) }); ok {
-				h.HintEntries(limit + 32)
+				h.HintEntries(limit - len(out) + 32)
 			}
 		}
 		if start != nil {

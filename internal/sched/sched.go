@@ -285,7 +285,7 @@ func (p *Pool) CloseBackground() {
 }
 
 // Fan runs fn(0..n-1) to completion under the pool's execution model — the
-// bounded fan-out used by parallel client scans, MultiGet, and the
+// bounded fan-out used by unbounded client scans, MultiGet, and the
 // concurrent-victim eviction pipeline: concurrency is capped by the pool's
 // worker/coroutine budget, so a wide fan-out cannot spawn unbounded
 // goroutines or starve compaction of CPU slots. Fan tasks may themselves
